@@ -20,8 +20,8 @@
 //!   loss (scikit-learn's `GradientBoostingClassifier` analogue).
 //! * [`xgboost`] — second-order (Newton) boosting with L2 regularization on
 //!   leaf weights (the XGBoost objective).
-//! * [`mlp_classifier`] — a multi-class MLP softmax classifier used for the
-//!   image experiments (the Conv2d variant lives in `p3gm-nn::conv`).
+//! * [`mlp_classifier`] — a multi-class MLP softmax classifier; the
+//!   classifier the evaluation harness trains for the image experiments.
 //! * [`suite`] — the paper's four-classifier evaluation harness producing
 //!   the AUROC/AUPRC rows of Tables V and VI.
 

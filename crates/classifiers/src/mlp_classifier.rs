@@ -1,9 +1,9 @@
 //! Multi-class MLP softmax classifier.
 //!
 //! The paper's image experiments (Table VII, Figure 7c) train a small
-//! convolutional classifier; this MLP head is the faster default used by
-//! the evaluation harness on the reduced-resolution synthetic images, with
-//! the full CNN available in `p3gm-nn::conv::SimpleCnn`.
+//! convolutional classifier. The evaluation harness (`p3gm-eval`'s
+//! `evaluate_images`) trains this MLP instead, on the reduced-resolution
+//! synthetic images; no harness path trains a CNN.
 
 use p3gm_linalg::{vector, Matrix};
 use p3gm_nn::activation::Activation;

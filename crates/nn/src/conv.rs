@@ -1,4 +1,5 @@
-//! A small convolutional network used as the downstream image classifier.
+//! A small convolutional network with the downstream image classifier's
+//! architecture. The evaluation harness trains an MLP classifier instead.
 //!
 //! The paper's Table VII trains "one Convolutional network with 28 kernels
 //! of size (3,3), MaxPooling (2,2) and two FC layers [128, 10]" on the

@@ -21,8 +21,10 @@
 //!   parameter vectors.
 //! * [`dpsgd`] — the DP-SGD update rule: clip per-example gradients, add
 //!   Gaussian noise, average, and take an optimizer step.
-//! * [`conv`] — a small Conv2d + MaxPool2d CNN used as the image classifier
-//!   in the Table VII experiment.
+//! * [`conv`] — a small Conv2d + MaxPool2d CNN with the architecture of the
+//!   paper's Table VII image classifier. The evaluation harness does not
+//!   use it: `p3gm-eval` scores images with `p3gm-classifiers`'
+//!   `MlpClassifier`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -159,7 +159,7 @@ pub enum HttpError {
     UnsupportedTransferEncoding,
     /// An I/O failure while reading (timeouts surface here: `TimedOut` /
     /// `WouldBlock` map to 408, so a stalled or slow-trickling client
-    /// gets a typed Request Timeout, not a pinned worker).
+    /// gets a typed Request Timeout, not an open-ended wait).
     Io(std::io::ErrorKind),
 }
 
@@ -237,12 +237,6 @@ impl<R> RequestReader<R> {
     /// progress without touching the underlying reader.
     pub fn has_buffered(&self) -> bool {
         !self.carry.is_empty()
-    }
-
-    /// The wrapped reader (for e.g. re-arming a read deadline between
-    /// requests).
-    pub fn reader_mut(&mut self) -> &mut R {
-        &mut self.reader
     }
 }
 
@@ -637,7 +631,8 @@ pub enum WriteProgress {
 }
 
 /// A resumable serializer for one [`Response`] over a nonblocking
-/// writer: the reactor core's replacement for [`Response::write_to`].
+/// writer, used by the reactor: the nonblocking counterpart of
+/// [`Response::write_to`].
 ///
 /// `write_to` assumes a blocking socket — a slow reader parks the
 /// calling thread inside `write`. `ResponseWriter` instead makes

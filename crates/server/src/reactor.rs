@@ -1,4 +1,4 @@
-//! Event-driven reactor core: one nonblocking I/O thread multiplexing
+//! Event-driven reactor: one nonblocking I/O thread multiplexing
 //! every accepted socket over `poll(2)`, with synthesis work handed to a
 //! small executor pool.
 //!
@@ -24,15 +24,22 @@
 //! set for `POLLOUT`, and the executor moves on: a slow reader costs a
 //! slab slot, never a thread.
 //!
-//! Every observable contract of the thread-per-connection core survives
-//! unchanged: byte-identical responses (the same `route()` and the
-//! head/chunk framing shared with `Response::write_to`), request-read
-//! and keep-alive deadlines (typed 408 via the same
-//! `HttpError::Io(TimedOut)` the blocking reader produces), silent close
-//! on clean EOF between requests, `max_requests_per_connection`,
-//! exactly-once ledger charging (charging still happens inside
-//! `route()`, before any byte is written), and graceful shutdown that
-//! drains in-flight work but retires idle connections immediately.
+//! The contracts the reactor keeps:
+//!
+//! * responses are byte-identical to `Response::write_to` for the same
+//!   response and keep-alive flag (`ResponseWriter` is pinned to it);
+//! * a request whose first byte has arrived must be complete within
+//!   `request_read_timeout`, else the client gets a typed 408
+//!   (`HttpError::Io(TimedOut)`); a connection idle past
+//!   `keep_alive_timeout` is closed silently;
+//! * clean EOF between requests closes silently; EOF after part of a
+//!   request is a 400;
+//! * at most `max_requests_per_connection` requests per connection, the
+//!   last one answered with `Connection: close`;
+//! * the ledger is charged exactly once per served sample, inside
+//!   `route()`, before any response byte is written;
+//! * shutdown drains in-flight work but retires idle connections
+//!   immediately.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -57,8 +64,9 @@ const WAKER_ID: u64 = u64::MAX;
 /// Synthetic poll-set id for the listener.
 const LISTENER_ID: u64 = u64::MAX - 1;
 /// How long a rejected connection may dribble its remaining request
-/// bytes before the socket is dropped (mirrors the thread core's
-/// bounded post-error drain).
+/// bytes before the socket is dropped. Closing a socket with unread input
+/// sends RST, which can discard the error response before the client
+/// reads it; draining briefly lets the response arrive first.
 const DRAIN_WINDOW: Duration = Duration::from_millis(200);
 /// Byte budget for that drain — a client still uploading megabytes
 /// after a 4xx is cut off rather than serviced.
@@ -70,8 +78,7 @@ const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 /// A `TcpStream` shared between the reactor (reads, polls, closes) and
 /// executors (writes), with a running count of bytes read so the
 /// reactor can distinguish "clean EOF while idle" (silent close) from
-/// "bytes arrived, then EOF" (400) — the same distinction the blocking
-/// core gets from its `peek`.
+/// "bytes arrived, then EOF" (400).
 #[derive(Clone)]
 pub(crate) struct SharedStream {
     stream: Arc<TcpStream>,
@@ -127,7 +134,7 @@ struct WriteInFlight {
 
 /// Access-log fields captured when the response was computed, emitted
 /// once the write finishes (success path only — parse errors log
-/// immediately from the reactor, as the blocking core does).
+/// immediately from the reactor, in `reject`).
 struct LogEntry {
     method: Method,
     target: String,
@@ -229,7 +236,7 @@ fn advance_write(service: &Service, conn_id: u64, mut write: WriteInFlight) -> D
 }
 
 /// Terminal bookkeeping for a write: release the in-flight gauge, emit
-/// the access-log line (same format as the blocking core).
+/// the access-log line.
 fn finish_write(service: &Service, conn_id: u64, mut write: WriteInFlight, write_ok: bool) -> Done {
     drop(write.guard.take());
     if let (Some(entry), Some(log)) = (write.log.take(), service.access_log.as_ref()) {
@@ -648,9 +655,9 @@ impl Reactor {
     }
 
     /// Write a typed error response from the reactor thread itself
-    /// (parse errors never reach the pool), then drain-and-close —
-    /// mirroring the blocking core's error path, including the metrics
-    /// and parse-error access-log line.
+    /// (parse errors never reach the pool), then drain-and-close. The
+    /// request counts under the `unparsed` route and logs one
+    /// `parse_error` access-log line.
     fn reject(&mut self, id: u64, err: &HttpError) {
         let status = err.status();
         let served = match self.slab.get_mut(id) {
@@ -855,7 +862,7 @@ impl Reactor {
         match kind {
             Kind::Silent => self.close(id),
             Kind::ReadTimeout => {
-                // Same typed 408 the blocking reader's deadline produces.
+                // The request-read deadline passed: a typed 408.
                 self.reject(id, &HttpError::Io(ErrorKind::TimedOut));
             }
             Kind::WriteTimeout(write) => {

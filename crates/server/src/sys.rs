@@ -1,6 +1,6 @@
 //! The workspace's one sanctioned `unsafe` site: a minimal `poll(2)`
 //! FFI shim (plus the self-pipe waker built on safe `UnixStream`s) for
-//! the reactor core.
+//! the reactor.
 //!
 //! ## Why FFI, and why here
 //!

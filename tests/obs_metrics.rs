@@ -255,14 +255,12 @@ proptest! {
     }
 }
 
-/// One private fit on a fixed seed under `threads` workers, reported
-/// with no injected timer (the deterministic norm).
-fn fit_report(threads: usize) -> (TrainReport, String) {
-    use rand::SeedableRng;
-    let data = Matrix::from_fn(48, 5, |i, j| {
-        0.5 + 0.4 * (((i * 5 + j) as f64) * 0.37).sin()
-    });
-    let config = PgmConfig {
+/// Training rows of the [`fit_report`] fit.
+const FIT_ROWS: usize = 48;
+
+/// The private configuration [`fit_report`] trains.
+fn fit_config() -> PgmConfig {
+    PgmConfig {
         latent_dim: 2,
         hidden_dim: 8,
         mog_components: 2,
@@ -271,7 +269,17 @@ fn fit_report(threads: usize) -> (TrainReport, String) {
         em_iterations: 3,
         private: true,
         ..PgmConfig::default()
-    };
+    }
+}
+
+/// One private fit of [`fit_config`] on a fixed seed under `threads`
+/// workers, reported with no injected timer (the deterministic norm).
+fn fit_report(threads: usize) -> (TrainReport, String) {
+    use rand::SeedableRng;
+    let data = Matrix::from_fn(FIT_ROWS, 5, |i, j| {
+        0.5 + 0.4 * (((i * 5 + j) as f64) * 0.37).sin()
+    });
+    let config = fit_config();
     let report = with_threads(threads, || {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let (_, _, report) =
@@ -291,6 +299,13 @@ fn train_report_is_identical_across_thread_counts() {
     assert!(reference.em_iterations > 0);
     assert!(reference.clip_measured_examples > 0);
     assert!(reference.phase_nanos.is_empty(), "no timer was injected");
+    // What the fit ran must be what the accountant was told:
+    // `PgmConfig::privacy_spec` feeds these counts to
+    // `RdpAccountant::p3gm_total`.
+    let config = fit_config();
+    assert_eq!(reference.dp_sgd_steps, config.sgd_steps(FIT_ROWS) as u64);
+    assert_eq!(reference.em_iterations, config.em_iterations as u64);
+    assert_eq!(reference.epochs, config.epochs as u64);
     for threads in [2, 4] {
         let (report, render) = fit_report(threads);
         assert_eq!(

@@ -88,11 +88,37 @@ pub struct PhasedGenerativeModel {
     averager: PolyakAverager,
 }
 
+/// Rejects training values the fit cannot account for: any non-finite
+/// value, and for a private fit any value outside the `[0, 1]` range its
+/// sensitivity analysis assumes. The error names the first such cell.
+fn check_training_values(data: &Matrix, private: bool) -> Result<()> {
+    for (i, row) in data.row_iter().enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            let problem = if !v.is_finite() {
+                "is not finite"
+            } else if private && !(0.0..=1.0).contains(&v) {
+                "is outside [0, 1], the range private training assumes"
+            } else {
+                continue;
+            };
+            return Err(CoreError::InvalidData {
+                msg: format!("value {v} at row {i}, column {j} {problem}"),
+            });
+        }
+    }
+    Ok(())
+}
+
 impl PhasedGenerativeModel {
     /// Runs the Encoding Phase: fits the (DP-)PCA projection and the (DP-)EM
     /// mixture prior, and initializes the networks. The Decoding Phase is
     /// run separately with [`PhasedGenerativeModel::train_epoch`] (or use
     /// [`PhasedGenerativeModel::fit`] for the whole pipeline).
+    ///
+    /// Returns [`CoreError::InvalidData`] for a non-finite value and, when
+    /// `config.private` is set, for a value outside `[0, 1]`: the DP-PCA
+    /// sensitivity assumes rows in `[0, 1]^d`, so such a row would
+    /// void the stamped ε.
     pub fn encode_phase<R: Rng + ?Sized>(
         rng: &mut R,
         data: &Matrix,
@@ -113,6 +139,7 @@ impl PhasedGenerativeModel {
         report: &mut TrainReport,
     ) -> Result<Self> {
         config.validate(data.rows(), data.cols())?;
+        check_training_values(data, config.private)?;
         let d = data.cols();
         let n = data.rows();
 
@@ -1099,6 +1126,42 @@ mod tests {
         let mut cfg = small_config(true);
         cfg.sigma_s = 0.0;
         assert!(PhasedGenerativeModel::encode_phase(&mut r, &data, cfg).is_err());
+    }
+
+    #[test]
+    fn encode_phase_rejects_values_it_cannot_account_for() {
+        let mut r = rng();
+        let clean = bimodal(&mut r, 40);
+        let with = |v: f64| {
+            let mut data = clean.clone();
+            data.set(7, 3, v);
+            data
+        };
+        for private in [false, true] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let err =
+                    PhasedGenerativeModel::encode_phase(&mut r, &with(bad), small_config(private))
+                        .unwrap_err();
+                assert!(matches!(err, CoreError::InvalidData { .. }), "{err}");
+                assert!(err.to_string().contains("row 7, column 3"), "{err}");
+            }
+        }
+        // Outside [0, 1]: rejected by a private fit only.
+        for out in [-0.01, 1.01] {
+            let err = PhasedGenerativeModel::encode_phase(&mut r, &with(out), small_config(true))
+                .unwrap_err();
+            assert!(err.to_string().contains("row 7, column 3"), "{err}");
+            assert!(
+                PhasedGenerativeModel::encode_phase(&mut r, &with(out), small_config(false))
+                    .is_ok()
+            );
+        }
+        for edge in [0.0, 1.0] {
+            assert!(
+                PhasedGenerativeModel::encode_phase(&mut r, &with(edge), small_config(true))
+                    .is_ok()
+            );
+        }
     }
 
     #[test]

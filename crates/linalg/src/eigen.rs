@@ -31,10 +31,11 @@ impl SymmetricEigen {
     /// matrices first, e.g. with [`Matrix::symmetrize`]).
     ///
     /// # Errors
-    /// Returns [`LinalgError::NotSquare`] for non-square inputs and
-    /// [`LinalgError::EigenNoConvergence`] if the off-diagonal mass does not
-    /// vanish within the sweep budget (which does not happen for genuinely
-    /// symmetric inputs of the sizes used here).
+    /// Returns [`LinalgError::NotSquare`] for non-square inputs,
+    /// [`LinalgError::InvalidArgument`] for an input holding a non-finite
+    /// entry, and [`LinalgError::EigenNoConvergence`] if the off-diagonal
+    /// mass does not vanish within the sweep budget (which does not happen
+    /// for genuinely symmetric inputs of the sizes used here).
     pub fn new(a: &Matrix) -> Result<Self> {
         if a.rows() != a.cols() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
@@ -42,6 +43,11 @@ impl SymmetricEigen {
         let n = a.rows();
         if n == 0 {
             return Err(LinalgError::Empty { op: "eigen" });
+        }
+        if a.as_slice().iter().any(|v| !v.is_finite()) {
+            return Err(LinalgError::InvalidArgument {
+                msg: "eigen input must be finite".to_string(),
+            });
         }
 
         let mut m = a.clone();
@@ -199,6 +205,19 @@ mod tests {
         assert_close(eig.eigenvalues[0], 3.0, 1e-12);
         assert_close(eig.eigenvalues[1], 2.0, 1e-12);
         assert_close(eig.eigenvalues[2], 1.0, 1e-12);
+    }
+
+    #[test]
+    fn non_finite_input_is_rejected() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut m = Matrix::from_diagonal(&[1.0, 2.0, 2.0]);
+            m.set(0, 1, bad);
+            m.set(1, 0, bad);
+            assert!(matches!(
+                SymmetricEigen::new(&m),
+                Err(LinalgError::InvalidArgument { .. })
+            ));
+        }
     }
 
     #[test]

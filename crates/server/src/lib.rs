@@ -107,6 +107,7 @@ use p3gm_linalg::Matrix;
 use p3gm_obs::{AccessLogger, ObsConfig};
 use p3gm_privacy::rdp::PrivacySpec;
 use registry::{LoadedModel, Registry, RegistryConfig, RegistryError};
+use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -964,38 +965,48 @@ fn sample(service: &Service, name: &str, body: &[u8]) -> Response {
         )
 }
 
-/// One row as a compact JSON array, through the same shortest-round-trip
-/// `f64` formatting as [`Json`]'s serializer — the streamed body must be
+/// Bytes reserved per served value: the shortest-round-trip text of a
+/// sampled value is typically 17–20 characters, plus its separator.
+/// Reserving rows × cols of these once per chunk means the writers below
+/// rarely regrow the buffer; a longer value only costs a regrow.
+const VALUE_BYTES: usize = 24;
+
+/// Buffer capacity for `rows` serialized rows of `cols` values each, with
+/// room for each row's brackets or newline, separator and label.
+fn rows_capacity(rows: usize, cols: usize) -> usize {
+    rows * (cols + 1) * VALUE_BYTES
+}
+
+/// One row as a compact JSON array, written straight into `out`. Each
+/// value goes through [`Json`]'s `Display` — shortest-round-trip `{}`
+/// text, `null` for a non-finite value — so the streamed body is
 /// byte-identical to what the buffered serializer would produce.
 fn json_row(out: &mut String, row: &[f64]) {
     out.push('[');
-    let mut first = true;
-    for &v in row {
-        if !first {
+    for (i, &v) in row.iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
-        out.push_str(&Json::Num(v).to_string());
+        let _ = write!(out, "{}", Json::Num(v));
     }
     out.push(']');
 }
 
 /// One row as a CSV line (newline included), optionally with the label
-/// appended as the last column.
+/// appended as the last column, written straight into `out` through
+/// `{}` (`NaN` and `inf` print as Rust spells them).
 fn csv_row(out: &mut String, row: &[f64], label: Option<usize>) {
-    let mut first = true;
-    for v in row {
-        if !first {
+    for (i, v) in row.iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
-        out.push_str(&v.to_string());
+        let _ = write!(out, "{v}");
     }
     if let Some(label) = label {
-        if !first {
+        if !row.is_empty() {
             out.push(',');
         }
-        out.push_str(&label.to_string());
+        let _ = write!(out, "{label}");
     }
     out.push('\n');
 }
@@ -1041,7 +1052,7 @@ fn stream_rows(model: Arc<LoadedModel>, name: &str, spec: &SampleSpec) -> Respon
         if next_row < n {
             let rows = STREAM_CHUNK_ROWS.min(n - next_row);
             let chunk = model.snapshot().sample_rows(seed, next_row, rows);
-            let mut out = String::new();
+            let mut out = String::with_capacity(rows_capacity(rows, chunk.cols()));
             for (i, row) in chunk.row_iter().enumerate() {
                 if csv {
                     csv_row(&mut out, row, None);
@@ -1070,8 +1081,9 @@ fn stream_rows(model: Arc<LoadedModel>, name: &str, spec: &SampleSpec) -> Respon
 /// yields the identical bit pattern. De-chunking a streamed response
 /// yields exactly these bytes for the same rows.
 fn render_rows(name: &str, spec: &SampleSpec, rows: &Matrix, labels: Option<&[usize]>) -> Response {
+    let capacity = rows_capacity(rows.rows(), rows.cols());
     if spec.csv {
-        let mut out = String::new();
+        let mut out = String::with_capacity(capacity);
         for (i, row) in rows.row_iter().enumerate() {
             csv_row(
                 &mut out,
@@ -1082,6 +1094,7 @@ fn render_rows(name: &str, spec: &SampleSpec, rows: &Matrix, labels: Option<&[us
         Response::csv(out)
     } else {
         let mut out = json_body_prefix(name, spec.seed, rows.rows());
+        out.reserve(capacity);
         for (i, row) in rows.row_iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -1095,7 +1108,7 @@ fn render_rows(name: &str, spec: &SampleSpec, rows: &Matrix, labels: Option<&[us
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&Json::Num(l as f64).to_string());
+                let _ = write!(out, "{}", Json::Num(l as f64));
             }
             out.push(']');
         }
@@ -1172,10 +1185,22 @@ mod tests {
 
     #[test]
     fn csv_rendering_is_deterministic() {
-        let rows = Matrix::from_rows(&[vec![0.5, 1.0 / 3.0], vec![-1.25, 2.0]]).unwrap();
+        let edge = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            5e-324,
+            1e21,
+            1e-7,
+            123.0,
+        ];
+        let mut values = vec![vec![0.5, 1.0 / 3.0], vec![-1.25, 2.0]];
+        values.extend(edge.chunks(2).map(<[f64]>::to_vec));
+        let rows = Matrix::from_rows(&values).unwrap();
         let spec = SampleSpec {
             seed: 1,
-            n: 2,
+            n: rows.rows(),
             labels: None,
             csv: true,
         };
@@ -1183,7 +1208,12 @@ mod tests {
         let b = render_rows("m", &spec, &rows, None).into_body_bytes();
         assert_eq!(a, b);
         let text = String::from_utf8(a).unwrap();
-        assert_eq!(text, format!("0.5,{}\n-1.25,2\n", 1.0 / 3.0));
+        let mut expected = format!("0.5,{}\n-1.25,2\n", 1.0 / 3.0);
+        for pair in edge.chunks(2) {
+            expected.push_str(&format!("{},{}\n", pair[0], pair[1]));
+        }
+        assert_eq!(text, expected);
+        assert!(text.contains("NaN,inf\n-inf,-0\n"), "{text}");
         // With labels appended as the last column.
         let labelled = render_rows("m", &spec, &rows, Some(&[1, 0])).into_body_bytes();
         let text = String::from_utf8(labelled).unwrap();
@@ -1217,18 +1247,28 @@ mod tests {
         // The streamed/buffered sample body is assembled by hand (so it
         // can stream); it must stay byte-identical to serializing the
         // equivalent Json value tree.
-        let rows = Matrix::from_rows(&[vec![0.1, -2.5e-7], vec![1.0 / 3.0, 4.0]]).unwrap();
+        // Non-finite values must print `null`, as the tree serializer does.
+        let rows = Matrix::from_rows(&[
+            vec![0.1, -2.5e-7],
+            vec![1.0 / 3.0, 4.0],
+            vec![f64::NAN, f64::INFINITY],
+            vec![f64::NEG_INFINITY, -0.0],
+            vec![5e-324, 1e21],
+            vec![1e-7, 123.0],
+        ])
+        .unwrap();
+        let labels = [1, 0, 1, 0, 1, 0];
         let spec = SampleSpec {
             seed: 42,
-            n: 2,
+            n: rows.rows(),
             labels: None,
             csv: false,
         };
-        let body = render_rows("na\"me", &spec, &rows, Some(&[1, 0])).into_body_bytes();
+        let body = render_rows("na\"me", &spec, &rows, Some(&labels)).into_body_bytes();
         let tree = Json::Obj(vec![
             ("model".to_string(), Json::str("na\"me")),
             ("seed".to_string(), Json::Num(42.0)),
-            ("n".to_string(), Json::Num(2.0)),
+            ("n".to_string(), Json::Num(6.0)),
             (
                 "rows".to_string(),
                 Json::Arr(
@@ -1239,9 +1279,11 @@ mod tests {
             ),
             (
                 "labels".to_string(),
-                Json::Arr(vec![Json::Num(1.0), Json::Num(0.0)]),
+                Json::Arr(labels.iter().map(|&l| Json::Num(l as f64)).collect()),
             ),
         ]);
-        assert_eq!(String::from_utf8(body).unwrap(), tree.to_string());
+        let body = String::from_utf8(body).unwrap();
+        assert_eq!(body, tree.to_string());
+        assert!(body.contains("[null,null],[null,-0],"), "{body}");
     }
 }

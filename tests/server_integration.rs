@@ -366,76 +366,102 @@ fn streamed_bodies_are_chunked_bounded_and_byte_identical_to_buffered() {
     let server = start_server(&dir, 2, None);
     let addr = server.addr();
     let n = 3000usize;
-    let sample_body = format!("{{\"seed\": 8, \"n\": {n}, \"format\": \"csv\"}}");
-
-    // Read the raw wire bytes so the chunk framing itself is visible.
-    let mut stream = connect(addr);
-    write!(
-        stream,
-        "POST /models/m/sample HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{sample_body}",
-        sample_body.len()
-    )
-    .unwrap();
-    let mut wire = Vec::new();
-    stream.read_to_end(&mut wire).unwrap();
-    let head_end = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
-    let head = String::from_utf8_lossy(&wire[..head_end]).to_string();
-    assert!(head.contains("Transfer-Encoding: chunked"), "{head}");
-    assert!(!head.contains("Content-Length"), "{head}");
-
-    // De-chunk by hand, recording every chunk size: the response must
-    // arrive in many bounded chunks, never one full-body buffer.
-    let mut rest = &wire[head_end + 4..];
-    let mut body = Vec::new();
-    let mut sizes = Vec::new();
-    loop {
-        let line_end = rest.windows(2).position(|w| w == b"\r\n").unwrap();
-        let size =
-            usize::from_str_radix(std::str::from_utf8(&rest[..line_end]).unwrap().trim(), 16)
-                .unwrap();
-        rest = &rest[line_end + 2..];
-        if size == 0 {
-            break;
-        }
-        sizes.push(size);
-        body.extend_from_slice(&rest[..size]);
-        assert_eq!(&rest[size..size + 2], b"\r\n");
-        rest = &rest[size + 2..];
-    }
-    assert!(
-        sizes.len() >= n / 512,
-        "{n} rows must stream in >= {} chunks, got {}",
-        n / 512,
-        sizes.len()
-    );
-    let max_chunk = sizes.iter().max().unwrap();
-    assert!(
-        *max_chunk < body.len() / 2,
-        "no chunk may approach the full body ({max_chunk} of {})",
-        body.len()
-    );
-
-    // The de-chunked stream equals the buffered HTTP/1.0 body…
-    let mut stream = connect(addr);
-    write!(
-        stream,
-        "POST /models/m/sample HTTP/1.0\r\nHost: t\r\nContent-Length: {}\r\n\r\n{sample_body}",
-        sample_body.len()
-    )
-    .unwrap();
-    let buffered = ResponseReader::new(stream).next_response().unwrap();
-    assert_eq!(buffered.status, 200);
-    assert!(!buffered.chunked, "HTTP/1.0 must get a buffered body");
-    assert_eq!(buffered.body, body);
-
-    // …and both equal the in-process sample stream, value for value.
     let expected = trained_snapshot().sample(8, n);
-    let text = String::from_utf8(body).unwrap();
-    assert_eq!(text.lines().count(), n);
-    for (i, line) in text.lines().enumerate().step_by(97) {
-        for (j, field) in line.split(',').enumerate() {
-            let v: f64 = field.parse().unwrap();
-            assert_eq!(v.to_bits(), expected.get(i, j).to_bits(), "row {i}");
+
+    for format in ["csv", "json"] {
+        let sample_body = format!("{{\"seed\": 8, \"n\": {n}, \"format\": \"{format}\"}}");
+
+        // Read the raw wire bytes so the chunk framing itself is visible.
+        let mut stream = connect(addr);
+        write!(
+            stream,
+            "POST /models/m/sample HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{sample_body}",
+            sample_body.len()
+        )
+        .unwrap();
+        let mut wire = Vec::new();
+        stream.read_to_end(&mut wire).unwrap();
+        let head_end = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+        let head = String::from_utf8_lossy(&wire[..head_end]).to_string();
+        assert!(head.contains("Transfer-Encoding: chunked"), "{head}");
+        assert!(!head.contains("Content-Length"), "{head}");
+
+        // De-chunk by hand, recording every chunk size: the response must
+        // arrive in many bounded chunks, never one full-body buffer.
+        let mut rest = &wire[head_end + 4..];
+        let mut body = Vec::new();
+        let mut sizes = Vec::new();
+        loop {
+            let line_end = rest.windows(2).position(|w| w == b"\r\n").unwrap();
+            let size =
+                usize::from_str_radix(std::str::from_utf8(&rest[..line_end]).unwrap().trim(), 16)
+                    .unwrap();
+            rest = &rest[line_end + 2..];
+            if size == 0 {
+                break;
+            }
+            sizes.push(size);
+            body.extend_from_slice(&rest[..size]);
+            assert_eq!(&rest[size..size + 2], b"\r\n");
+            rest = &rest[size + 2..];
+        }
+        assert!(
+            sizes.len() >= n / 512,
+            "{format}: {n} rows must stream in >= {} chunks, got {}",
+            n / 512,
+            sizes.len()
+        );
+        let max_chunk = sizes.iter().max().unwrap();
+        assert!(
+            *max_chunk < body.len() / 2,
+            "{format}: no chunk may approach the full body ({max_chunk} of {})",
+            body.len()
+        );
+
+        // The de-chunked stream equals the buffered HTTP/1.0 body…
+        let mut stream = connect(addr);
+        write!(
+            stream,
+            "POST /models/m/sample HTTP/1.0\r\nHost: t\r\nContent-Length: {}\r\n\r\n{sample_body}",
+            sample_body.len()
+        )
+        .unwrap();
+        let buffered = ResponseReader::new(stream).next_response().unwrap();
+        assert_eq!(buffered.status, 200);
+        assert!(!buffered.chunked, "HTTP/1.0 must get a buffered body");
+        assert_eq!(buffered.body, body, "{format}");
+
+        // …and both equal the in-process sample stream, value for value.
+        let text = String::from_utf8(body).unwrap();
+        if format == "csv" {
+            assert_eq!(text.lines().count(), n);
+            for (i, line) in text.lines().enumerate().step_by(97) {
+                for (j, field) in line.split(',').enumerate() {
+                    let v: f64 = field.parse().unwrap();
+                    assert_eq!(v.to_bits(), expected.get(i, j).to_bits(), "row {i}");
+                }
+            }
+        } else {
+            // The whole multi-chunk JSON stream — prefix, the commas that
+            // cross chunk boundaries, suffix — is byte for byte the tree
+            // serialization of the same sample.
+            let tree = json::Json::Obj(vec![
+                ("model".to_string(), json::Json::str("m")),
+                ("seed".to_string(), json::Json::Num(8.0)),
+                ("n".to_string(), json::Json::Num(n as f64)),
+                (
+                    "rows".to_string(),
+                    json::Json::Arr(
+                        expected
+                            .row_iter()
+                            .map(|row| {
+                                json::Json::Arr(row.iter().map(|&v| json::Json::Num(v)).collect())
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]);
+            assert_eq!(text, tree.to_string());
         }
     }
 

@@ -1,6 +1,7 @@
 //! Microbenchmarks for the numeric kernels the P3GM pipeline spends its
 //! time in — register-tiled matmul and gram, per-example DP-SGD gradients
-//! (batched forward + backward), the fused clip-and-sum pass, and the
+//! (batched forward + backward, and the streamed per-example form `fit`
+//! runs), the fused clip-and-sum pass, and the
 //! batched (DP-)EM E-step (with its n×k log-density sub-kernel measured
 //! separately) — each swept over 1/2/4 worker threads via
 //! `p3gm_parallel::with_threads`.
@@ -23,7 +24,7 @@ use p3gm_mixture::Gmm;
 use p3gm_nn::activation::Activation;
 use p3gm_nn::mlp::Mlp;
 use p3gm_parallel::with_threads;
-use p3gm_privacy::mechanisms::clip_and_sum_gradients;
+use p3gm_privacy::mechanisms::{clip_and_sum_gradients, clip_and_sum_rows};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -108,6 +109,25 @@ fn bench_dpsgd_gradients(c: &mut Criterion) {
         c.bench_function(&format!("kernels/dpsgd_grads_b96/threads={t}"), |bench| {
             bench.iter(|| with_threads(t, || black_box(kernel(&mlp, &x, &gouts)[0])))
         });
+    }
+    // What `fit` runs: each example's backward pass writes into a zeroed
+    // scratch row that is clipped and summed at once, with no `B x P` batch.
+    let streamed = |mlp: &Mlp, x: &Matrix, gouts: &Matrix| {
+        clip_and_sum_rows(batch, mlp.num_params(), 1.0, |i, row| {
+            mlp.backward(&mlp.forward_cached(x.row(i)), gouts.row(i), row);
+        })
+        .0
+    };
+    for t in THREADS {
+        let sum = with_threads(t, || streamed(&mlp, &x, &gouts));
+        assert_eq!(
+            sum, reference,
+            "streamed DP-SGD gradients must equal the materialised sum at {t} threads"
+        );
+        c.bench_function(
+            &format!("kernels/dpsgd_grads_b96_streamed/threads={t}"),
+            |bench| bench.iter(|| with_threads(t, || black_box(streamed(&mlp, &x, &gouts)[0]))),
+        );
     }
 }
 

@@ -36,6 +36,7 @@
 
 pub mod averaging;
 pub mod config;
+mod epoch;
 pub mod history;
 pub mod pgm;
 pub mod report;

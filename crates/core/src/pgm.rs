@@ -18,6 +18,7 @@
 
 use crate::averaging::PolyakAverager;
 use crate::config::{DecoderLoss, PgmConfig, VarianceMode};
+use crate::epoch::Epoch;
 use crate::history::{EpochStats, TrainingHistory};
 use crate::report::TrainReport;
 use crate::{CoreError, GenerativeModel, Result};
@@ -26,14 +27,12 @@ use p3gm_mixture::dpem::{self, DpEmConfig};
 use p3gm_mixture::em::{self, EmConfig};
 use p3gm_mixture::Gmm;
 use p3gm_nn::activation::{sigmoid, Activation};
-use p3gm_nn::dpsgd::{sample_batch_indices, DpSgdConfig};
 use p3gm_nn::loss::{bce_with_logits, sse};
 use p3gm_nn::mlp::Mlp;
 use p3gm_nn::optimizer::{Adam, Optimizer};
 use p3gm_obs::TimeSource;
 use p3gm_preprocess::pca::{DpPca, Pca};
 use p3gm_privacy::rdp::PrivacySpec;
-use p3gm_privacy::sampling;
 use rand::Rng;
 
 /// The dimensionality-reduction component of the Encoding Phase.
@@ -455,17 +454,13 @@ impl PhasedGenerativeModel {
                 msg: "empty training data".to_string(),
             });
         }
-        let batch = self.config.batch_size.min(n).max(1);
-        let steps_per_epoch = n.div_ceil(batch);
-        let dp = if self.config.private {
-            Some(DpSgdConfig {
-                clip_norm: self.config.clip_norm,
-                noise_multiplier: self.config.sigma_s,
-                batch_size: batch,
-            })
-        } else {
-            None
-        };
+        let mut epoch = Epoch::new(
+            n,
+            self.config.batch_size,
+            self.config.private,
+            self.config.clip_norm,
+            self.config.sigma_s,
+        );
 
         // Resume from the raw optimizer iterate: the networks hold the
         // Polyak-averaged weights between epochs.
@@ -478,60 +473,19 @@ impl PhasedGenerativeModel {
         // epoch, and gradients must be evaluated at the point the optimizer
         // actually updates.
         self.set_flat_params(&params);
-        let mut recon_sum = 0.0;
-        let mut kl_sum = 0.0;
-        let mut examples = 0usize;
 
         let n_params = params.len();
-        let d = self.config.latent_dim;
-        for _ in 0..steps_per_epoch {
-            let indices = sample_batch_indices(rng, n, batch);
-            let xb = data
-                .select_rows(&indices)
-                .map_err(|e| CoreError::Substrate { msg: e.to_string() })?;
-            let b = xb.rows();
-            // Draw the reparametrization noise serially (row-major, the same
-            // rng order as the per-example loop used), then compute the
-            // per-example gradients on parallel row chunks — bit-identical
-            // for every thread count.
-            let eps = Matrix::from_fn(b, d, |_, _| sampling::normal(rng, 0.0, 1.0));
-            let mut per_example = Matrix::zeros(b, n_params);
-            let rows_per_chunk = p3gm_parallel::default_chunk_len(b);
-            let losses = p3gm_parallel::par_chunks_mut_map(
-                per_example.as_mut_slice(),
-                rows_per_chunk * n_params,
-                |chunk_index, grad_chunk| {
-                    let base = chunk_index * rows_per_chunk;
-                    grad_chunk
-                        .chunks_mut(n_params)
-                        .enumerate()
-                        .map(|(local, grad_row)| {
-                            let i = base + local;
-                            self.example_gradient_into(xb.row(i), eps.row(i), grad_row)
-                        })
-                        .collect::<Vec<_>>()
-                },
-            );
-            for (recon, kl) in losses.into_iter().flatten() {
-                recon_sum += recon;
-                kl_sum += kl;
-                examples += 1;
-            }
-            match &dp {
-                Some(cfg) => {
-                    let outcome = cfg
-                        .step_observed(rng, &per_example, &mut params, &mut self.optimizer)
-                        .map_err(|e| CoreError::Substrate { msg: e.to_string() })?;
-                    report.dp_sgd_steps += 1;
-                    report.clipped_examples += outcome.clipped_examples;
-                    report.clip_measured_examples += outcome.examples;
-                }
-                None => {
-                    let mut avg = per_example.column_sums();
-                    p3gm_linalg::vector::scale(1.0 / b as f64, &mut avg);
-                    self.optimizer.step(&mut params, &avg);
-                }
-            }
+        for _ in 0..epoch.steps {
+            // Streamed lot gradient (see `crate::epoch`): each example's
+            // gradient is clipped and summed as it is computed.
+            let gradient = epoch.lot_gradient(
+                rng,
+                data,
+                self.config.latent_dim,
+                n_params,
+                |x, eps, out| self.example_gradient_into(x, eps, out),
+            )?;
+            self.optimizer.step(&mut params, &gradient);
             self.set_flat_params(&params);
             self.averager.update(&params);
         }
@@ -543,14 +497,9 @@ impl PhasedGenerativeModel {
             self.set_flat_params(&avg);
         }
 
-        let stats = EpochStats {
-            epoch: self.trained_epochs,
-            reconstruction_loss: recon_sum / examples.max(1) as f64,
-            kl_loss: kl_sum / examples.max(1) as f64,
-            steps: steps_per_epoch,
-        };
+        let (stats, epoch_report) = epoch.finish(self.trained_epochs);
         self.trained_epochs += 1;
-        report.epochs += 1;
+        report.merge(&epoch_report);
         Ok(stats)
     }
 
@@ -901,7 +850,9 @@ impl GenerativeModel for PhasedGenerativeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p3gm_nn::dpsgd::{sample_batch_indices, DpSgdConfig};
     use p3gm_privacy::rdp::RdpAccountant;
+    use p3gm_privacy::sampling;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1206,5 +1157,96 @@ mod tests {
             "epsilon {} not near the paper's 1.0",
             spec.epsilon
         );
+    }
+
+    /// The epoch as it ran before gradients were streamed: each lot's
+    /// `B x P` per-example gradients are materialised with
+    /// `example_gradient_into`, then stepped with
+    /// `DpSgdConfig::step_observed` (private) or `column_sums`
+    /// (non-private). Same rng draws in the same order as
+    /// `train_epoch_observed`.
+    fn materialised_reference_epoch(
+        model: &mut PhasedGenerativeModel,
+        rng: &mut StdRng,
+        data: &Matrix,
+    ) {
+        let n = data.rows();
+        let batch = model.config.batch_size.min(n).max(1);
+        let dp = model.config.private.then_some(DpSgdConfig {
+            clip_norm: model.config.clip_norm,
+            noise_multiplier: model.config.sigma_s,
+            batch_size: batch,
+        });
+        let mut params = match model.raw_params.take() {
+            Some(p) => p,
+            None => model.flat_params(),
+        };
+        model.set_flat_params(&params);
+        let n_params = params.len();
+        for _ in 0..n.div_ceil(batch) {
+            let indices = sample_batch_indices(rng, n, batch);
+            let xb = data.select_rows(&indices).unwrap();
+            let b = xb.rows();
+            let eps = Matrix::from_fn(b, model.config.latent_dim, |_, _| {
+                sampling::normal(rng, 0.0, 1.0)
+            });
+            let mut per_example = Matrix::zeros(b, n_params);
+            for (i, row) in per_example.as_mut_slice().chunks_mut(n_params).enumerate() {
+                model.example_gradient_into(xb.row(i), eps.row(i), row);
+            }
+            match &dp {
+                Some(cfg) => {
+                    cfg.step_observed(rng, &per_example, &mut params, &mut model.optimizer)
+                        .unwrap();
+                }
+                None => {
+                    let mut avg = per_example.column_sums();
+                    p3gm_linalg::vector::scale(1.0 / b as f64, &mut avg);
+                    model.optimizer.step(&mut params, &avg);
+                }
+            }
+            model.set_flat_params(&params);
+            model.averager.update(&params);
+        }
+        if let Some(avg) = model.averager.average() {
+            model.raw_params = Some(params);
+            model.set_flat_params(&avg);
+        }
+        model.trained_epochs += 1;
+    }
+
+    #[test]
+    fn streamed_epochs_match_the_materialised_reference() {
+        // B = 100 gives two examples per chunk (`default_chunk_len(100)`),
+        // so the per-chunk partial sums and their fold are exercised.
+        assert_eq!(p3gm_parallel::default_chunk_len(100), 2);
+        for private in [true, false] {
+            let mut r = rng();
+            let data = bimodal(&mut r, 300);
+            let config = PgmConfig {
+                batch_size: 100,
+                ..small_config(private)
+            };
+            let encoded = PhasedGenerativeModel::encode_phase(&mut r, &data, config).unwrap();
+            let (mut streamed, mut reference) = (encoded.clone(), encoded);
+            let (mut rs, mut rr) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
+            let mut report = TrainReport::new();
+            // Two epochs: the second resumes from the raw iterate.
+            for _ in 0..2 {
+                streamed
+                    .train_epoch_observed(&mut rs, &data, &mut report)
+                    .unwrap();
+                materialised_reference_epoch(&mut reference, &mut rr, &data);
+                assert_eq!(
+                    streamed.to_bytes(),
+                    reference.to_bytes(),
+                    "private = {private}"
+                );
+            }
+            let expected_steps = if private { 6 } else { 0 };
+            assert_eq!(report.dp_sgd_steps, expected_steps);
+            assert_eq!(report.clip_measured_examples, expected_steps * 100);
+            assert_eq!(report.epochs, 2);
+        }
     }
 }

@@ -9,11 +9,11 @@
 
 use crate::averaging::PolyakAverager;
 use crate::config::{DecoderLoss, VaeConfig};
+use crate::epoch::Epoch;
 use crate::history::{EpochStats, TrainingHistory};
 use crate::{CoreError, GenerativeModel, Result};
 use p3gm_linalg::Matrix;
 use p3gm_nn::activation::{sigmoid, Activation};
-use p3gm_nn::dpsgd::{sample_batch_indices, DpSgdConfig};
 use p3gm_nn::loss::{bce_with_logits, kl_diag_gaussian_standard, sse};
 use p3gm_nn::mlp::Mlp;
 use p3gm_nn::optimizer::{Adam, Optimizer};
@@ -132,17 +132,13 @@ impl Vae {
                 msg: "empty training data".to_string(),
             });
         }
-        let batch = self.config.batch_size.min(n).max(1);
-        let steps_per_epoch = n.div_ceil(batch);
-        let dp = if self.config.is_private() {
-            Some(DpSgdConfig {
-                clip_norm: self.config.clip_norm,
-                noise_multiplier: self.config.sigma_s,
-                batch_size: batch,
-            })
-        } else {
-            None
-        };
+        let mut epoch = Epoch::new(
+            n,
+            self.config.batch_size,
+            self.config.is_private(),
+            self.config.clip_norm,
+            self.config.sigma_s,
+        );
 
         // Resume from the raw optimizer iterate: the networks hold the
         // Polyak-averaged weights between epochs.
@@ -155,56 +151,19 @@ impl Vae {
         // epoch, and gradients must be evaluated at the point the optimizer
         // actually updates.
         self.set_flat_params(&params);
-        let mut recon_sum = 0.0;
-        let mut kl_sum = 0.0;
-        let mut examples = 0usize;
 
         let n_params = params.len();
-        let d = self.config.latent_dim;
-        for _ in 0..steps_per_epoch {
-            let indices = sample_batch_indices(rng, n, batch);
-            let xb = data
-                .select_rows(&indices)
-                .map_err(|e| CoreError::Substrate { msg: e.to_string() })?;
-            let b = xb.rows();
-            // Draw the reparametrization noise serially (row-major, the same
-            // rng order as the per-example loop used), then compute the
-            // per-example gradients on parallel row chunks — bit-identical
-            // for every thread count.
-            let eps = Matrix::from_fn(b, d, |_, _| sampling::normal(rng, 0.0, 1.0));
-            let mut per_example = Matrix::zeros(b, n_params);
-            let rows_per_chunk = p3gm_parallel::default_chunk_len(b);
-            let losses = p3gm_parallel::par_chunks_mut_map(
-                per_example.as_mut_slice(),
-                rows_per_chunk * n_params,
-                |chunk_index, grad_chunk| {
-                    let base = chunk_index * rows_per_chunk;
-                    grad_chunk
-                        .chunks_mut(n_params)
-                        .enumerate()
-                        .map(|(local, grad_row)| {
-                            let i = base + local;
-                            self.example_gradient_into(xb.row(i), eps.row(i), grad_row)
-                        })
-                        .collect::<Vec<_>>()
-                },
-            );
-            for (recon, kl) in losses.into_iter().flatten() {
-                recon_sum += recon;
-                kl_sum += kl;
-                examples += 1;
-            }
-            match &dp {
-                Some(cfg) => {
-                    cfg.step(rng, &per_example, &mut params, &mut self.optimizer)
-                        .map_err(|e| CoreError::Substrate { msg: e.to_string() })?;
-                }
-                None => {
-                    let mut avg = per_example.column_sums();
-                    p3gm_linalg::vector::scale(1.0 / b as f64, &mut avg);
-                    self.optimizer.step(&mut params, &avg);
-                }
-            }
+        for _ in 0..epoch.steps {
+            // Streamed lot gradient (see `crate::epoch`): each example's
+            // gradient is clipped and summed as it is computed.
+            let gradient = epoch.lot_gradient(
+                rng,
+                data,
+                self.config.latent_dim,
+                n_params,
+                |x, eps, out| self.example_gradient_into(x, eps, out),
+            )?;
+            self.optimizer.step(&mut params, &gradient);
             self.set_flat_params(&params);
             self.averager.update(&params);
         }
@@ -216,12 +175,7 @@ impl Vae {
             self.set_flat_params(&avg);
         }
 
-        let stats = EpochStats {
-            epoch: self.trained_epochs,
-            reconstruction_loss: recon_sum / examples.max(1) as f64,
-            kl_loss: kl_sum / examples.max(1) as f64,
-            steps: steps_per_epoch,
-        };
+        let (stats, _) = epoch.finish(self.trained_epochs);
         self.trained_epochs += 1;
         Ok(stats)
     }

@@ -1,14 +1,21 @@
 //! DP-SGD: differentially private stochastic gradient descent (paper §II-D).
 //!
-//! This module glues the per-example gradients produced by [`crate::mlp`]
-//! to the gradient-privatization primitive in `p3gm-privacy` and an
-//! [`crate::optimizer`] step.  The privacy *accounting* for the resulting
-//! training run lives in `p3gm-privacy::rdp` — the trainer here only reports
-//! the (steps, sampling-rate, noise) triple the accountant needs.
+//! This module glues per-example gradients to the gradient-privatization
+//! primitive in `p3gm-privacy` and an [`crate::optimizer`] step. Training
+//! uses the streamed step, [`DpSgdConfig::privatize_streamed`], which
+//! clips and sums each example's gradient as it is computed
+//! (`p3gm_privacy::clip_and_sum_rows` states the chunking, fold order and
+//! zeroed scratch row), so no `B x P` batch is ever built.
+//! [`DpSgdConfig::step`] / [`DpSgdConfig::step_observed`] take a
+//! materialised batch (e.g. from [`crate::mlp::Mlp::per_example_gradients`])
+//! and read its rows in place through the same clip-and-sum loop. The
+//! privacy *accounting* for the resulting training run lives in
+//! `p3gm-privacy::rdp` — the trainer here only reports the (steps,
+//! sampling-rate, noise) triple the accountant needs.
 
 use crate::optimizer::Optimizer;
 use p3gm_linalg::Matrix;
-use p3gm_privacy::mechanisms::privatize_gradient_sum_counted;
+use p3gm_privacy::mechanisms::{privatize_gradient_rows, privatize_gradient_sum_counted};
 use p3gm_privacy::PrivacyError;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -55,10 +62,11 @@ impl DpSgdConfig {
         (self.batch_size as f64 / n.max(1) as f64).min(1.0)
     }
 
-    /// Privatizes a batch of per-example gradients (`B x P`, one flat
-    /// gradient per row — the layout [`crate::mlp::Mlp::per_example_gradients`]
-    /// produces) and applies one optimizer step to `params`. Returns the
-    /// privatized average gradient (useful for logging gradient norms).
+    /// Privatizes a materialised batch of per-example gradients (`B x P`,
+    /// one flat gradient per row — the layout
+    /// [`crate::mlp::Mlp::per_example_gradients`] produces) and applies one
+    /// optimizer step to `params`. Returns the privatized average gradient
+    /// (useful for logging gradient norms).
     pub fn step<R: Rng + ?Sized, O: Optimizer + ?Sized>(
         &self,
         rng: &mut R,
@@ -74,6 +82,9 @@ impl DpSgdConfig {
     /// how many per-example gradients the clip actually touched. The extra
     /// fields are telemetry derived from the same fused pass — no extra
     /// randomness, no change to the update — for `TrainReport` / metrics.
+    /// The rows are read in place by the same clip-and-sum loop as
+    /// [`privatize_streamed`](Self::privatize_streamed), so the update has
+    /// the bits of the streamed step on the same gradients.
     pub fn step_observed<R: Rng + ?Sized, O: Optimizer + ?Sized>(
         &self,
         rng: &mut R,
@@ -95,6 +106,42 @@ impl DpSgdConfig {
             clipped_examples: clipped,
             examples: per_example_grads.rows() as u64,
         })
+    }
+
+    /// The streamed DP-SGD step on a lot of `rows` examples over `dim`
+    /// parameters: `example_gradient(i, row)` writes example `i`'s gradient
+    /// into a zeroed scratch row and returns a per-example value `T`; each
+    /// gradient is clipped and summed as soon as it is written (see
+    /// `p3gm_privacy::clip_and_sum_rows` for the chunking and fold order),
+    /// so the `B x P` batch is never materialised. Returns the outcome,
+    /// whose `gradient` is the privatized average, and every example's `T`
+    /// in row order.
+    ///
+    /// The caller applies `outcome.gradient` with `Optimizer::step`: the
+    /// gradient producer usually borrows the model that owns the optimizer.
+    pub fn privatize_streamed<R: Rng + ?Sized, T: Send>(
+        &self,
+        rng: &mut R,
+        rows: usize,
+        dim: usize,
+        example_gradient: impl Fn(usize, &mut [f64]) -> T + Sync,
+    ) -> Result<(DpSgdStepOutcome, Vec<T>), PrivacyError> {
+        self.validate()?;
+        let (gradient, clipped, values) = privatize_gradient_rows(
+            rng,
+            rows,
+            dim,
+            self.clip_norm,
+            self.noise_multiplier,
+            self.batch_size,
+            example_gradient,
+        )?;
+        let outcome = DpSgdStepOutcome {
+            gradient,
+            clipped_examples: clipped,
+            examples: rows as u64,
+        };
+        Ok((outcome, values))
     }
 }
 

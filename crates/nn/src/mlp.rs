@@ -7,9 +7,11 @@
 //! as one flat `Vec<f64>`, and its batch APIs ([`Mlp::forward_batch`],
 //! [`Mlp::per_example_gradients`]) operate on contiguous `Matrix` batches —
 //! one example per row — parallelized over row chunks with deterministic
-//! (thread-count-independent) results. The per-example gradient batch is a
-//! `B x P` matrix that `p3gm-privacy::privatize_gradient_sum` consumes
-//! directly.
+//! (thread-count-independent) results. DP-SGD training does not build the
+//! `B x P` per-example batch: it calls [`Mlp::backward`] once per example
+//! into a zeroed scratch row that is clipped and summed straight away (see
+//! `crate::dpsgd`). [`Mlp::per_example_gradients`] stays as the batch API
+//! for benches and tests.
 
 use crate::activation::Activation;
 use crate::linear::Linear;
@@ -244,8 +246,8 @@ impl Mlp {
     /// `B x P` matrix is the flat gradient of example `i` given the loss
     /// gradient `grad_outputs.row(i)` with respect to the network output.
     ///
-    /// This is the DP-SGD hot kernel; the resulting batch feeds straight
-    /// into `p3gm-privacy`'s clipped-sum aggregation.
+    /// The batch form of the DP-SGD gradient kernel, for benches and
+    /// tests; training streams [`Mlp::backward`] per example instead.
     ///
     /// The forward passes run **batched** (the same register-tiled layer
     /// kernels as [`Mlp::forward_batch`], with per-layer input and

@@ -6,9 +6,11 @@
 //!   (Jiang et al., used by the paper's Encoding Phase).
 //! * [`exponential_mechanism`] — utility-based selection, used by the
 //!   PrivBayes baseline to pick Bayesian-network edges.
-//! * [`privatize_gradient_sum`] — the per-batch DP-SGD primitive: clip each
-//!   per-example gradient to norm `C`, sum, add `N(0, σ²C²I)` noise and
-//!   average (paper §II-D).
+//! * [`privatize_gradient_rows`] — the per-lot DP-SGD primitive: clip each
+//!   per-example gradient to norm `C` as it is produced, sum, add
+//!   `N(0, σ²C²I)` noise and average (paper §II-D).
+//!   [`privatize_gradient_sum`] is the same mechanism on a materialised
+//!   `B x P` batch.
 
 use crate::sampling;
 use crate::{PrivacyError, Result};
@@ -209,12 +211,88 @@ pub fn exponential_mechanism<R: Rng + ?Sized>(
     Ok(sampling::categorical(rng, &weights))
 }
 
-/// Clips every row of a per-example gradient batch (`B x P`, one gradient
-/// per row) to L2 norm at most `clip_norm` and sums the clipped rows.
+/// The streamed DP-SGD aggregation `Σ_i ψ_C(g_i)` (paper §II-D): clips
+/// each of `rows` gradients to L2 norm at most `clip_norm` and sums them,
+/// without ever holding more than one gradient per worker.
 ///
-/// Row chunks are clipped and summed in parallel; the per-chunk partial
-/// sums are folded in chunk order, so the result is bit-identical for every
-/// thread count. This is the noise-free core of DP-SGD's `ψ_C` aggregation,
+/// `fill(i, row)` writes gradient `i` into a `dim`-long scratch row, which
+/// is **zeroed before every call** (so `fill` may accumulate into it, as
+/// `Mlp::backward` does), and returns a per-row value `T` (e.g. the
+/// example's losses). The returned tuple is the clipped sum, the number of
+/// rows whose norm was strictly above `clip_norm`, and every row's `T` in
+/// row order.
+///
+/// Rows are processed in chunks of `p3gm_parallel::default_chunk_len(rows)`;
+/// each chunk scales its rows into a zero-started partial sum in row order,
+/// and the partials are folded in chunk order. Chunk boundaries and fold
+/// order depend only on `rows`, so the result is bit-identical for every
+/// thread count, and `fill` must depend only on `i`. `clip_norm =
+/// f64::INFINITY` clips nothing and skips the norm: each row is added with
+/// factor 1.0, so the sum has the bits of `Matrix::column_sums` on the
+/// materialised batch.
+pub fn clip_and_sum_rows<T: Send>(
+    rows: usize,
+    dim: usize,
+    clip_norm: f64,
+    fill: impl Fn(usize, &mut [f64]) -> T + Sync,
+) -> (Vec<f64>, u64, Vec<T>) {
+    clip_and_sum_chunked(rows, dim, clip_norm, |i, scratch| {
+        scratch.clear();
+        scratch.resize(dim, 0.0);
+        (None, fill(i, scratch))
+    })
+}
+
+/// The one clip-and-accumulate loop behind [`clip_and_sum_rows`] and
+/// [`clip_and_sum_gradients_counted`]. `row(i, scratch)` yields row `i`
+/// either borrowed from a materialised batch (`Some`) or written into
+/// `scratch` (`None`), plus the row's value.
+fn clip_and_sum_chunked<'a, T: Send>(
+    rows: usize,
+    dim: usize,
+    clip_norm: f64,
+    row: impl Fn(usize, &mut Vec<f64>) -> (Option<&'a [f64]>, T) + Sync,
+) -> (Vec<f64>, u64, Vec<T>) {
+    p3gm_parallel::par_map_reduce(
+        rows,
+        p3gm_parallel::default_chunk_len(rows),
+        |range| {
+            let mut scratch = Vec::new();
+            let mut partial = vec![0.0; dim];
+            let mut clipped = 0u64;
+            let mut values = Vec::with_capacity(range.len());
+            for i in range {
+                let (borrowed, value) = row(i, &mut scratch);
+                values.push(value);
+                let g = borrowed.unwrap_or(&scratch);
+                // The squared norm comes from the lane-folded kernel (4
+                // fixed-order partial accumulators, see `vector::dot_lanes`).
+                let mut factor = 1.0;
+                if clip_norm < f64::INFINITY {
+                    let norm = vector::norm2_squared_lanes(g).sqrt();
+                    if norm > clip_norm && norm > 0.0 {
+                        clipped += 1;
+                        factor = clip_norm / norm;
+                    }
+                }
+                vector::axpy(factor, g, &mut partial);
+            }
+            (partial, clipped, values)
+        },
+        |(mut a, ca, mut va), (b, cb, vb)| {
+            vector::axpy(1.0, &b, &mut a);
+            va.extend(vb);
+            (a, ca + cb, va)
+        },
+    )
+    .unwrap_or_else(|| (vec![0.0; dim], 0, Vec::new()))
+}
+
+/// Clips every row of a materialised per-example gradient batch (`B x P`,
+/// one gradient per row) to L2 norm at most `clip_norm` and sums the
+/// clipped rows. The rows are read in place by the same loop as
+/// [`clip_and_sum_rows`], so the result has its bits, for every thread
+/// count. This is the noise-free core of DP-SGD's `ψ_C` aggregation,
 /// exposed separately so benchmarks and determinism tests can exercise it
 /// without consuming randomness.
 pub fn clip_and_sum_gradients(per_example: &Matrix, clip_norm: f64) -> Vec<f64> {
@@ -230,37 +308,11 @@ pub fn clip_and_sum_gradients(per_example: &Matrix, clip_norm: f64) -> Vec<f64> 
 /// clipped-gradient fraction surfaced in `TrainReport` — and is computed in
 /// the same fused pass, never fed back into the mechanism.
 pub fn clip_and_sum_gradients_counted(per_example: &Matrix, clip_norm: f64) -> (Vec<f64>, u64) {
-    let dim = per_example.cols();
-    let chunk_len = p3gm_parallel::default_chunk_len(per_example.rows());
-    p3gm_parallel::par_map_reduce(
-        per_example.rows(),
-        chunk_len,
-        |range| {
-            // Fused clip-and-accumulate: the squared norm comes from the
-            // lane-folded kernel (4 fixed-order partial accumulators, see
-            // `vector::dot_lanes`), then the row is scaled directly into
-            // the partial sum — no per-row scratch copy.
-            let mut partial = vec![0.0; dim];
-            let mut clipped = 0u64;
-            for i in range {
-                let row = per_example.row(i);
-                let norm = vector::norm2_squared_lanes(row).sqrt();
-                let factor = if norm > clip_norm && norm > 0.0 {
-                    clipped += 1;
-                    clip_norm / norm
-                } else {
-                    1.0
-                };
-                vector::axpy(factor, row, &mut partial);
-            }
-            (partial, clipped)
-        },
-        |(mut a, ca), (b, cb)| {
-            vector::axpy(1.0, &b, &mut a);
-            (a, ca + cb)
-        },
-    )
-    .unwrap_or_else(|| (vec![0.0; dim], 0))
+    let (sum, clipped, _) =
+        clip_and_sum_chunked(per_example.rows(), per_example.cols(), clip_norm, |i, _| {
+            (Some(per_example.row(i)), ())
+        });
+    (sum, clipped)
 }
 
 /// Privatizes a batch of per-example gradients as in DP-SGD (paper §II-D):
@@ -297,7 +349,42 @@ pub fn privatize_gradient_sum_counted<R: Rng + ?Sized>(
     noise_multiplier: f64,
     batch_size: usize,
 ) -> Result<(Vec<f64>, u64)> {
-    if per_example.rows() == 0 || per_example.cols() == 0 {
+    let (rows, dim) = per_example.shape();
+    check_dp_sgd(rows, dim, clip_norm, noise_multiplier, batch_size)?;
+    let (mut sum, clipped) = clip_and_sum_gradients_counted(per_example, clip_norm);
+    add_noise_and_average(rng, &mut sum, clip_norm, noise_multiplier, batch_size);
+    Ok((sum, clipped))
+}
+
+/// [`privatize_gradient_sum_counted`] on a streamed lot: the gradients come
+/// from `fill` one row at a time through [`clip_and_sum_rows`], then the sum
+/// gets the same noise and division. Returns the privatized average
+/// gradient, the clipped count and each row's `T` in row order. The
+/// parameters are validated before `fill` runs.
+pub fn privatize_gradient_rows<R: Rng + ?Sized, T: Send>(
+    rng: &mut R,
+    rows: usize,
+    dim: usize,
+    clip_norm: f64,
+    noise_multiplier: f64,
+    batch_size: usize,
+    fill: impl Fn(usize, &mut [f64]) -> T + Sync,
+) -> Result<(Vec<f64>, u64, Vec<T>)> {
+    check_dp_sgd(rows, dim, clip_norm, noise_multiplier, batch_size)?;
+    let (mut sum, clipped, values) = clip_and_sum_rows(rows, dim, clip_norm, fill);
+    add_noise_and_average(rng, &mut sum, clip_norm, noise_multiplier, batch_size);
+    Ok((sum, clipped, values))
+}
+
+/// The parameter checks of both DP-SGD privatization entry points.
+fn check_dp_sgd(
+    rows: usize,
+    dim: usize,
+    clip_norm: f64,
+    noise_multiplier: f64,
+    batch_size: usize,
+) -> Result<()> {
+    if rows == 0 || dim == 0 {
         return Err(PrivacyError::InvalidParameter {
             msg: "privatize_gradient_sum needs at least one non-empty gradient".to_string(),
         });
@@ -309,17 +396,26 @@ pub fn privatize_gradient_sum_counted<R: Rng + ?Sized>(
             ),
         });
     }
+    Ok(())
+}
 
-    let (mut sum, clipped) = clip_and_sum_gradients_counted(per_example, clip_norm);
+/// The tail of both DP-SGD privatization entry points: adds
+/// `N(0, (σ C)² I)` noise to the clipped sum and divides by the lot size.
+fn add_noise_and_average<R: Rng + ?Sized>(
+    rng: &mut R,
+    sum: &mut [f64],
+    clip_norm: f64,
+    noise_multiplier: f64,
+    batch_size: usize,
+) {
     let noise_std = noise_multiplier * clip_norm;
     if noise_std > 0.0 {
-        for s in &mut sum {
+        for s in sum.iter_mut() {
             *s += sampling::normal(rng, 0.0, noise_std);
         }
     }
     let inv_b = 1.0 / batch_size as f64;
-    vector::scale(inv_b, &mut sum);
-    Ok((sum, clipped))
+    vector::scale(inv_b, sum);
 }
 
 #[cfg(test)]

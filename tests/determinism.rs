@@ -5,7 +5,7 @@
 //! families the pipeline spends its time in — matmul and its transposed
 //! variant, gram, the (DP-)EM batched log-densities and responsibilities
 //! E-step, the batched MLP forward, and the DP-SGD clipped gradient sum
-//! and per-example gradient batch — plus
+//! (materialised and streamed) and per-example gradient batch — plus
 //! the snapshot sampling pipeline, whose canonical stream must be
 //! invariant to delivery chunking, request size and thread count alike.
 
@@ -17,7 +17,9 @@ use p3gm::mixture::Gmm;
 use p3gm::nn::activation::Activation;
 use p3gm::nn::mlp::Mlp;
 use p3gm::parallel::with_threads;
-use p3gm::privacy::mechanisms::clip_and_sum_gradients;
+use p3gm::privacy::mechanisms::{
+    clip_and_sum_gradients, clip_and_sum_gradients_counted, clip_and_sum_rows,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -162,6 +164,70 @@ proptest! {
             prop_assert_eq!(sum.len(), reference.len());
             for (x, y) in sum.iter().zip(reference.iter()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    /// The streamed clip-and-sum kernel equals the materialised one bit for
+    /// bit and count for count. Rows 1, 64, 65 and 200 give
+    /// `default_chunk_len` 1, 1, 2 and 4, so multi-row chunks (partial
+    /// sums folded in chunk order) are covered; the clip norms clip none,
+    /// some and all of the rows, and one row is zero. With no clipping the
+    /// sum equals `Matrix::column_sums`.
+    #[test]
+    fn streamed_clip_and_sum_matches_the_materialised_kernel(
+        values in proptest::collection::vec(-10.0..10.0f64, 200 * 7),
+        zero_row in 0usize..200,
+    ) {
+        for rows in [1, 64, 65, 200] {
+            let mut grads = Matrix::from_vec(rows, 7, values[..rows * 7].to_vec()).unwrap();
+            if rows > 1 {
+                for j in 0..7 {
+                    grads.set(zero_row % rows, j, 0.0);
+                }
+            }
+            let norms: Vec<f64> = (0..rows)
+                .map(|i| grads.row(i).iter().map(|v| v * v).sum::<f64>().sqrt())
+                .collect();
+            let max = norms.iter().cloned().fold(0.0, f64::max);
+            let min_nonzero = norms.iter().cloned().filter(|&n| n > 0.0).fold(f64::INFINITY, f64::min);
+            let nonzero = norms.iter().filter(|&&n| n > 0.0).count() as u64;
+            let mid = 0.5 * (min_nonzero.min(max) + max);
+            for (clip, expected) in [(2.0 * max + 1.0, Some(0)), (mid, None), (0.5 * min_nonzero.min(1.0), Some(nonzero))] {
+                let (reference, reference_clipped) =
+                    with_threads(1, || clip_and_sum_gradients_counted(&grads, clip));
+                match expected {
+                    Some(expected) => prop_assert_eq!(reference_clipped, expected),
+                    None if rows > 1 => {
+                        prop_assert!(reference_clipped > 0 && reference_clipped < nonzero)
+                    }
+                    None => {}
+                }
+                for threads in [1, 2, 4] {
+                    let (sum, clipped, indices) = with_threads(threads, || {
+                        clip_and_sum_rows(rows, 7, clip, |i, row| {
+                            row.copy_from_slice(grads.row(i));
+                            i
+                        })
+                    });
+                    prop_assert_eq!(clipped, reference_clipped);
+                    prop_assert_eq!(indices, (0..rows).collect::<Vec<_>>());
+                    for (x, y) in sum.iter().zip(reference.iter()) {
+                        prop_assert_eq!(x.to_bits(), y.to_bits());
+                    }
+                }
+            }
+            let column_sums = with_threads(1, || grads.column_sums());
+            for threads in [1, 2, 4] {
+                let (sum, clipped, _) = with_threads(threads, || {
+                    clip_and_sum_rows(rows, 7, f64::INFINITY, |i, row| {
+                        row.copy_from_slice(grads.row(i))
+                    })
+                });
+                prop_assert_eq!(clipped, 0);
+                for (x, y) in sum.iter().zip(column_sums.iter()) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits());
+                }
             }
         }
     }

@@ -306,6 +306,15 @@ fn train_report_is_identical_across_thread_counts() {
     assert_eq!(reference.dp_sgd_steps, config.sgd_steps(FIT_ROWS) as u64);
     assert_eq!(reference.em_iterations, config.em_iterations as u64);
     assert_eq!(reference.epochs, config.epochs as u64);
+    // Every lot is a fixed-size draw of `batch_size` rows, the lot size
+    // behind the accountant's q = B / N; the streamed clip counts each
+    // example it measured.
+    assert!(config.batch_size <= FIT_ROWS);
+    assert_eq!(
+        reference.clip_measured_examples,
+        reference.dp_sgd_steps * config.batch_size as u64
+    );
+    assert!(reference.clipped_examples <= reference.clip_measured_examples);
     for threads in [2, 4] {
         let (report, render) = fit_report(threads);
         assert_eq!(
